@@ -728,16 +728,15 @@ def cmd_campaign(args) -> int:
                 progress=progress, telemetry=telemetry,
                 lease_expiry_s=args.lease_expiry,
             )
-            if args.db:
-                from repro.results.db import ResultsDB
-
-                with ResultsDB(args.db) as db:
-                    db.ingest_campaign(result)
         else:
             result = run_campaign(spec, jobs=args.jobs, cache_dir=args.cache,
                                   progress=progress, telemetry=telemetry,
-                                  plan=plan, trace_dir=args.trace_dir,
-                                  results_db=args.db)
+                                  plan=plan, trace_dir=args.trace_dir)
+        if args.db:
+            from repro.results.db import ResultsDB
+
+            with ResultsDB(args.db) as db:
+                db.ingest_campaign(result)
     except (OSError, ValueError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

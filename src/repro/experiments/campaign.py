@@ -382,7 +382,6 @@ def run_campaign(
     telemetry: "dict | None" = None,
     plan: bool = False,
     trace_dir: "str | None" = None,
-    results_db: "str | None" = None,
 ) -> CampaignResult:
     """Execute every cell (fanned out / cache-served) and wrap the matrix.
 
@@ -394,11 +393,6 @@ def run_campaign(
     (:mod:`repro.experiments.plan`): each frontend-identity group records
     one trace into ``trace_dir`` and serves its memory-side sweep cells as
     replays, 3.1-3.4x faster per cell than full execution.
-
-    ``results_db`` names a SQLite results database
-    (:class:`repro.results.db.ResultsDB`) to ingest the finished campaign
-    into on completion: the stall-attribution matrix cells plus every
-    cell's run/breakdown/stats rows (the ``campaign --db`` path).
     """
     scenarios = spec.scenarios()
     if plan:
@@ -414,13 +408,7 @@ def run_campaign(
             scenarios, jobs=jobs, cache_dir=cache_dir,
             progress=progress, telemetry=telemetry,
         )
-    result = CampaignResult(spec=spec, records=records)
-    if results_db is not None:
-        from repro.results.db import ResultsDB
-
-        with ResultsDB(results_db) as db:
-            db.ingest_campaign(result)
-    return result
+    return CampaignResult(spec=spec, records=records)
 
 
 def write_artifacts(result: CampaignResult, out_dir: str) -> list[str]:

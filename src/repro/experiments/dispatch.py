@@ -31,11 +31,13 @@ Replay tasks become claimable only once their group's trace file exists,
 so record cells naturally run first; if a record task fails, its
 dependents fail fast instead of waiting forever.
 
-Byte-identity is preserved by construction: workers run the same
-:func:`simulate_planned` entry point and the same JSON round-trip
-normalization as the in-process executor, and the coordinator merges in
-input order from the same cache -- so any worker count, interleaving, or
-kill/resume history produces results bit-identical to ``--jobs 1``.
+Byte-identity is preserved by construction: workers run each task
+through the executor's own cache-or-simulate step
+(:mod:`repro.experiments.executor` -- same worker entry, same JSON
+round-trip normalization), and the coordinator merges in input order
+from the same cache with the executor's record builder -- so any worker
+count, interleaving, or kill/resume history produces results
+bit-identical to ``--jobs 1``.
 """
 
 from __future__ import annotations
@@ -50,10 +52,9 @@ from typing import Callable
 
 from repro.experiments import executor
 from repro.experiments.campaign import CampaignResult, CampaignSpec, default_trace_dir
-from repro.experiments.executor import ScenarioRecord, _cache_load, _cache_store
-from repro.experiments.plan import Plan, build_plan, simulate_planned
+from repro.experiments.executor import ScenarioRecord, _cache_load, _write_json_atomic
+from repro.experiments.plan import Plan, build_plan
 from repro.experiments.spec import Scenario
-from repro.system import SimResult
 
 QUEUE_VERSION = 1
 DEFAULT_LEASE_EXPIRY_S = 300.0
@@ -70,13 +71,6 @@ class QueueError(RuntimeError):
 # ---------------------------------------------------------------------------
 # small atomic-file helpers
 # ---------------------------------------------------------------------------
-
-def _write_json_atomic(path: str, payload: dict) -> None:
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
-
 
 def _read_json(path: str) -> dict | None:
     """Tolerant read: concurrent movers/writers make missing or momentarily
@@ -297,15 +291,9 @@ def _process_task(
             raise QueueError("record task %s failed; replay cannot run" % dep)
         scenario = Scenario.from_dict(task["scenario"])
         key = scenario.key()
-        payload = _cache_load(results_dir, key)
-        cached = payload is not None
-        record_to = task.get("record_to")
-        if not cached or (record_to and not os.path.exists(record_to)):
-            fresh = simulate_planned(task, telemetry=telemetry)
-            fresh = json.loads(json.dumps(fresh, sort_keys=True))
-            if not cached:
-                _cache_store(results_dir, key, fresh)
-                payload = fresh
+        payload, cached = executor._cache_or_simulate(
+            task["scenario"], key, results_dir, telemetry, task.get("record_to")
+        )
         marker = {
             "id": task_id,
             "name": scenario.name,
@@ -488,7 +476,10 @@ def run_campaign_distributed(
 
     records = collect_records(plan, results_dir, queue_dir, preexisting)
     if telemetry is not None:
-        _write_queue_telemetry_index(telemetry, plan, records)
+        executor._write_telemetry_index(
+            telemetry, records,
+            [c.run_key() for c in plan.cells], [c.kind for c in plan.cells],
+        )
     return CampaignResult(spec=spec, records=records)
 
 
@@ -519,40 +510,5 @@ def collect_records(
             )
         marker = _read_json(_state_path(queue_dir, "done", task_id)) or {}
         is_cached = task_id in preexisting or bool(marker.get("cached"))
-        result = SimResult.from_dict(payload["result"])
-        scenario = cell.run if cell.kind == "replay" else cell.scenario
-        record = ScenarioRecord(
-            scenario=scenario,
-            result=result,
-            elapsed_s=float(payload["elapsed_s"]),
-            cached=is_cached,
-            violations=scenario.check(result),
-            t_start_s=None if is_cached else payload.get("t_start"),
-            t_end_s=None if is_cached else payload.get("t_end"),
-            worker_pid=None if is_cached else payload.get("pid"),
-        )
-        if executor.record_hook is not None:
-            executor.record_hook(record)
-        records.append(record)
+        records.append(executor._make_record(cell.run, payload, is_cached))
     return records
-
-
-def _write_queue_telemetry_index(
-    telemetry: dict, plan: Plan, records: list[ScenarioRecord]
-) -> None:
-    """Same shape as the executor's ``index.json``, over every planned cell."""
-    os.makedirs(telemetry["out_dir"], exist_ok=True)
-    index = {
-        "cells": {
-            cell.name: {
-                "key": cell.run_key(),
-                "cached": record.cached,
-                "kind": cell.kind,
-            }
-            for cell, record in zip(plan.cells, records)
-        },
-        "sample_every": int(telemetry.get("sample_every", 5000)),
-    }
-    path = os.path.join(telemetry["out_dir"], "index.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(index, fh, sort_keys=True, indent=2)

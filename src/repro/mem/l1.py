@@ -594,18 +594,24 @@ class L1Controller(Component):
             self.race_fallbacks.value += 1
         self.remote_serves.value += 1
         delay = self.config.remote_fwd_latency
+        # Pooled, like the L2's fill responses: the requester's L1 recycles
+        # the DATA message once it has handled it.
         self.engine.schedule(
             delay,
             lambda: self.mesh.send(
-                Message(
-                    mtype=MsgType.DATA,
-                    src=self.node,
-                    dst=msg.requester,
-                    line=msg.line,
-                    req_id=msg.req_id,
-                    service_loc=ServiceLocation.REMOTE_L1,
-                    bypass_l1=msg.bypass_l1,
-                    meta=msg.meta,
+                alloc_message(
+                    MsgType.DATA,
+                    self.node,
+                    msg.requester,
+                    msg.line,
+                    msg.req_id,
+                    None,
+                    None,
+                    ServiceLocation.REMOTE_L1,
+                    None,
+                    None,
+                    msg.bypass_l1,
+                    msg.meta,
                 )
             ),
         )

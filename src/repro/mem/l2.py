@@ -238,16 +238,22 @@ class L2Cache(Component):
             self._send_data(req, loc)
 
     def _send_data(self, req: Message, loc: ServiceLocation) -> None:
+        # Pooled: the requesting L1 recycles every DATA response it
+        # handles, so the fill response must come out of the same pool.
         self.mesh.send(
-            Message(
-                mtype=MsgType.DATA,
-                src=self.node_of_line(req.line),
-                dst=req.src,
-                line=req.line,
-                req_id=req.req_id,
-                service_loc=loc,
-                bypass_l1=req.bypass_l1,
-                meta=req.meta,
+            alloc_message(
+                MsgType.DATA,
+                self.node_of_line(req.line),
+                req.src,
+                req.line,
+                req.req_id,
+                None,
+                None,
+                loc,
+                None,
+                None,
+                req.bypass_l1,
+                req.meta,
             )
         )
 

@@ -82,8 +82,11 @@ class Message:
 #: freelist for the hottest request/response round trips.  Only the two
 #: consumers that provably retire their message push here (the L2 atomic
 #: RMW after it sends the response, the L1 data handler after the last
-#: waiter ran); the two matching producers pop.  Steady-state atomics and
-#: fills then allocate no Message objects at all.
+#: waiter ran), and every producer of a message they retire pops (the
+#: L1's atomic request; the L2's atomic and fill responses; a DeNovo
+#: owner's forwarded DATA response).  Steady-state atomics and fills then
+#: allocate no Message objects at all, and the pool stays bounded by the
+#: number of messages in flight at once.
 _msg_pool: list[Message] = []
 
 

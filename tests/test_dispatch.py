@@ -190,15 +190,22 @@ class TestCoordinator:
         spec = spec_of(TINY)
         traces = str(tmp_path / "traces")
         serial = run_campaign(spec, jobs=1, cache_dir=str(tmp_path / "c1"),
-                              plan=True, trace_dir=traces)
+                              plan=True, trace_dir=traces,
+                              telemetry={"out_dir": str(tmp_path / "tel1")})
         dist = run_campaign_distributed(
             spec_of(TINY), workers=2, queue_dir=str(tmp_path / "q"),
             cache_dir=str(tmp_path / "c2"), trace_dir=traces, poll_s=0.01,
+            telemetry={"out_dir": str(tmp_path / "tel2")},
         )
         assert [stable(r) for r in serial.records] \
             == [stable(r) for r in dist.records]
         assert dist.to_csv() == serial.to_csv()
         assert dist.replayed_count == 2
+        # both lanes write the same index.json, byte for byte
+        index = (tmp_path / "tel1" / "index.json").read_bytes()
+        assert index == (tmp_path / "tel2" / "index.json").read_bytes()
+        kinds = {c["kind"] for c in json.loads(index)["cells"].values()}
+        assert kinds == {"record", "replay"}
 
     def test_progress_and_second_invocation_cached(self, tmp_path):
         calls = []

@@ -249,3 +249,27 @@ class TestDram:
     def test_channel_validation(self):
         with pytest.raises(ValueError):
             Dram(latency=10, channels=0)
+
+
+class TestMessagePool:
+    """Every producer of a message the L1 recycles allocates from the pool,
+    so repeating a run leaves the pool where the first run left it."""
+
+    @pytest.mark.parametrize("core", ["python", "fast"])
+    @pytest.mark.parametrize("protocol", ["gpu", "denovo"])
+    def test_pool_stays_bounded_across_runs(self, protocol, core):
+        from repro.experiments.spec import Scenario
+        from repro.noc import message
+        from repro.system import run_workload
+
+        # UTS: load fills from the L2 and, under DeNovo, owner-forwarded
+        # DATA responses from remote L1s
+        scenario = Scenario("uts", "uts", {"total_nodes": 40, "warps_per_tb": 2},
+                            {"num_sms": 2, "protocol": protocol, "core": core})
+
+        def pool_after_run():
+            run_workload(scenario.build_config(), scenario.build_workload())
+            return len(message._msg_pool)
+
+        first = pool_after_run()
+        assert pool_after_run() == first

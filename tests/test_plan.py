@@ -16,7 +16,6 @@ from repro.experiments.plan import (
     execute_plan,
     frontend_identity,
     recordable,
-    simulate_planned,
 )
 from repro.experiments.spec import Scenario
 
@@ -260,14 +259,23 @@ class TestExecutePlan:
         kinds = {c["kind"] for c in index["cells"].values()}
         assert kinds == {"record", "replay"}
 
+    def test_telemetry_index_written_when_fully_cached(self, tmp_path):
+        scenarios = tiny_spec().scenarios()
+        execute_plan(build_plan(scenarios, str(tmp_path / "t")),
+                     cache_dir=str(tmp_path / "c"))
+        execute_plan(build_plan(tiny_spec().scenarios(), str(tmp_path / "t")),
+                     cache_dir=str(tmp_path / "c"),
+                     telemetry={"out_dir": str(tmp_path / "tel")})
+        index = json.loads((tmp_path / "tel" / "index.json").read_text())
+        assert set(index["cells"]) == {s.name for s in scenarios}
+        assert all(c["cached"] for c in index["cells"].values())
 
-class TestSimulatePlanned:
-    def test_record_task_payload_matches_plain_execution(self, tmp_path):
+
+class TestSimulateScenarioRecordTo:
+    def test_record_payload_matches_plain_execution(self, tmp_path):
         cell = scenario("rec")
         trace = str(tmp_path / "rec.gsitrace")
-        task = {"id": "0000", "kind": "record", "scenario": cell.to_dict(),
-                "record_to": trace, "group": "g"}
-        recorded = simulate_planned(task)
+        recorded = executor.simulate_scenario(cell.to_dict(), record_to=trace)
         plain = executor.simulate_scenario(cell.to_dict())
         assert recorded["result"] == plain["result"]
         assert recorded["key"] == plain["key"]
@@ -276,11 +284,9 @@ class TestSimulatePlanned:
     def test_existing_trace_not_rerecorded(self, tmp_path):
         cell = scenario("rec")
         trace = str(tmp_path / "rec.gsitrace")
-        task = {"id": "0000", "kind": "record", "scenario": cell.to_dict(),
-                "record_to": trace, "group": "g"}
-        simulate_planned(task)
+        executor.simulate_scenario(cell.to_dict(), record_to=trace)
         before = os.stat(trace).st_mtime_ns
-        simulate_planned(task)
+        executor.simulate_scenario(cell.to_dict(), record_to=trace)
         assert os.stat(trace).st_mtime_ns == before
 
 

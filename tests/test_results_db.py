@@ -139,6 +139,25 @@ class TestIngestCampaign:
             assert rows[0][0] == 4
 
 
+class TestCampaignDbCli:
+    """``repro campaign --db`` ingests once, whichever lane ran the cells."""
+
+    @pytest.mark.parametrize("lane", [[], ["--workers", "2"]],
+                             ids=["in-process", "queue"])
+    def test_every_cell_ingested(self, tmp_path, capsys, lane):
+        spec = tmp_path / "tiny.json"
+        spec.write_text(json.dumps(TINY_CAMPAIGN))
+        db_path = str(tmp_path / "c.db")
+        rc = cli.main(["campaign", "--spec", str(spec), "--quiet",
+                       "--cache", str(tmp_path / "cache"), "--db", db_path,
+                       *lane])
+        assert rc == 0
+        assert "ingested campaign tiny" in capsys.readouterr().err
+        with ResultsDB(db_path) as db:
+            _, rows = db.query("SELECT COUNT(*) FROM campaign_cells")
+        assert rows[0][0] == len(tiny_spec().scenarios()) == 4
+
+
 # ---------------------------------------------------------------------------
 # file ingestion: cache entries, bench artifacts, telemetry series
 # ---------------------------------------------------------------------------
