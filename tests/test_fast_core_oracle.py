@@ -22,6 +22,11 @@ dropped a side effect; fix the fast core, never the oracle.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.campaign import DEFAULT_FLEET
@@ -59,17 +64,74 @@ def _fleet_fast_scenarios() -> list[Scenario]:
     ]
 
 
-SCENARIOS = _fig6x_fast_scenarios() + _fleet_fast_scenarios()
+#: the benchmark's UTS cell: 300 nodes, 2 warps/TB, 2 SMs, GPU coherence
+PERFBENCH_UTS_ARGS = {"total_nodes": 300, "warps_per_tb": 2}
+PERFBENCH_UTS_CONFIG = {"protocol": "gpu", "num_sms": 2}
+
+
+def _ablation_scenarios() -> list[Scenario]:
+    """The benchmark's UTS cell under the configurations on which
+    :class:`FastSM` delegates to ``SM.tick``."""
+    return [
+        Scenario("ablation/" + name, "uts", dict(PERFBENCH_UTS_ARGS),
+                 dict(PERFBENCH_UTS_CONFIG, **override))
+        for name, override in (("gto", {"warp_scheduler": "gto"}),
+                               ("strong", {"attribution_policy": "strong"}))
+    ]
+
+
+def _perfbench_uts_scenarios() -> list[Scenario]:
+    """The benchmark's UTS cell at the tree seeds of benchmark seeds 2-5,
+    which the benchmark's own seed-1 reference digests do not cover."""
+    return [
+        Scenario("perfbench/uts-%d" % tree_seed, "uts",
+                 dict(PERFBENCH_UTS_ARGS, tree_seed=tree_seed),
+                 dict(PERFBENCH_UTS_CONFIG))
+        for tree_seed in (62655, 15596, 15470, 40823)
+    ]
+
+
+SCENARIOS = (_fig6x_fast_scenarios() + _fleet_fast_scenarios()
+             + _ablation_scenarios() + _perfbench_uts_scenarios())
+
+#: scenario name -> SHA-256 of the canonical ``SimResult.to_dict()`` JSON
+#: and of the flattened component stats tree, generated on the python core
+PINS_PATH = Path(__file__).parent / "data" / "stats_pins.json"
+
+
+def _sha(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digests(result) -> dict[str, str]:
+    return {"result": _sha(result.to_dict()),
+            "stats": _sha(result.stats_tree.flatten())}
+
+
+def _run(scenario: Scenario, core: str):
+    config = scenario.build_config().scaled(core=core)
+    return run_workload(config, scenario.build_workload())
+
+
+@pytest.fixture(scope="module")
+def pins() -> dict:
+    return json.loads(PINS_PATH.read_text())
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=[s.name for s in SCENARIOS])
-def test_fast_core_matches_python_oracle(scenario: Scenario) -> None:
-    outcome = {}
-    for core in ("python", "fast"):
-        config = scenario.build_config().scaled(core=core)
-        result = run_workload(config, scenario.build_workload())
-        outcome[core] = (result.to_dict(), result.stats_tree.flatten())
-    py_dict, py_tree = outcome["python"]
-    fast_dict, fast_tree = outcome["fast"]
-    assert fast_dict == py_dict, "serialized SimResult diverged from oracle"
-    assert fast_tree == py_tree, "component stats tree diverged from oracle"
+def test_fast_core_matches_python_oracle(scenario: Scenario, pins: dict) -> None:
+    outcome = {core: _run(scenario, core) for core in ("python", "fast")}
+    py, fast = outcome["python"], outcome["fast"]
+    assert fast.to_dict() == py.to_dict(), "serialized SimResult diverged from oracle"
+    assert fast.stats_tree.flatten() == py.stats_tree.flatten(), (
+        "component stats tree diverged from oracle")
+    assert _digests(py) == pins[scenario.name], "result differs from its pin"
+
+
+if __name__ == "__main__":
+    # Regenerate the pins (only for an intended model change):
+    #   PYTHONPATH=src python tests/test_fast_core_oracle.py > tests/data/stats_pins.json
+    json.dump({sc.name: _digests(_run(sc, "python")) for sc in SCENARIOS},
+              sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
