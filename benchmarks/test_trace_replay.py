@@ -5,10 +5,13 @@ The replay must reproduce the execution-driven run's memory-side statistics
 simulates only the memory hierarchy).  Both the execution-driven scenario
 and the replay go through the scenario executor, so the session's
 ``BENCH_engine.json`` perf-trajectory artifact carries a wall-clock row for
-each -- the speedup is the ratio of the two rows.
+each.  The speedup itself is the ratio of the two legs' *process CPU*
+seconds, which a co-scheduled job on the host cannot inflate; a leg that
+misses the bar is re-measured the same way for both legs.
 """
 
 import os
+import time
 
 from repro.experiments.executor import execute
 from repro.experiments.spec import Scenario
@@ -29,6 +32,13 @@ _EXEC_SCENARIO = Scenario(
 MIN_SPEEDUP = 3.0
 
 
+def _timed(scenario):
+    """Execute one scenario in-process; return (record, CPU seconds)."""
+    start = time.process_time()
+    record = execute([scenario])[0]
+    return record, time.process_time() - start
+
+
 def test_trace_replay_speedup_and_exactness(benchmark, show):
     # A stable location (same place as the other bench artifacts,
     # gitignored), referenced *repo-relative* whenever the cwd allows: the
@@ -43,9 +53,11 @@ def test_trace_replay_speedup_and_exactness(benchmark, show):
     rel_path = os.path.relpath(abs_path)
     trace_path = rel_path if not rel_path.startswith("..") else abs_path
 
+    replay_scenario = Scenario("fig6.1-uts-replay", "trace", {"path": trace_path})
+
     def flow():
         # 1. execution-driven run, through the executor (timed row).
-        exec_record = execute([_EXEC_SCENARIO])[0]
+        exec_record, exec_s = _timed(_EXEC_SCENARIO)
         # 2. record the trace (not a benchmark row: recording rides on an
         #    execution-driven run and exists to be amortized).
         result, trace = record_workload(
@@ -55,12 +67,12 @@ def test_trace_replay_speedup_and_exactness(benchmark, show):
         )
         save_trace(trace, trace_path)
         # 3. replay, through the executor (timed row).
-        replay_record = execute(
-            [Scenario("fig6.1-uts-replay", "trace", {"path": trace_path})]
-        )[0]
-        return exec_record, result, replay_record
+        replay_record, replay_s = _timed(replay_scenario)
+        return exec_record, exec_s, result, replay_record, replay_s
 
-    exec_record, recorded_result, replay_record = run_once(benchmark, flow)
+    exec_record, exec_s, recorded_result, replay_record, replay_s = run_once(
+        benchmark, flow
+    )
 
     mismatches = compare_replay(recorded_result, replay_record.result)
     assert not mismatches, "replay diverged from execution:\n" + "\n".join(
@@ -68,25 +80,20 @@ def test_trace_replay_speedup_and_exactness(benchmark, show):
     )
     assert replay_record.result.cycles == exec_record.result.cycles
 
-    speedup = exec_record.elapsed_s / replay_record.elapsed_s
-    if speedup < MIN_SPEEDUP:
-        # The replay leg is short enough to be scheduling-noise sensitive
-        # (a long pytest session bloats the heap; a background process can
-        # steal its 12 seconds).  Re-measure it once and keep the best --
-        # only the measured candidate gets the retry, never the baseline.
-        retry = execute(
-            [Scenario("fig6.1-uts-replay-retry", "trace", {"path": trace_path})]
-        )[0]
-        speedup = exec_record.elapsed_s / min(
-            replay_record.elapsed_s, retry.elapsed_s
-        )
+    if exec_s / replay_s < MIN_SPEEDUP:
+        # CPU time still moves with cache pressure from a busy host.
+        # Re-measure both legs once and keep each leg's best: the same
+        # policy for the baseline as for the measured candidate.
+        exec_s = min(exec_s, _timed(_EXEC_SCENARIO)[1])
+        replay_s = min(replay_s, _timed(replay_scenario)[1])
+    speedup = exec_s / replay_s
     show(
-        "fig6.1 UTS (%d nodes): execution %.2fs, replay %.2fs -> %.2fx "
+        "fig6.1 UTS (%d nodes): execution %.2f CPU-s, replay %.2f CPU-s -> %.2fx "
         "(trace: %d events, %s)"
         % (
             UTS_NODES,
-            exec_record.elapsed_s,
-            replay_record.elapsed_s,
+            exec_s,
+            replay_s,
             speedup,
             replay_record.result.stats["replay"]["events_injected"],
             os.path.basename(trace_path),

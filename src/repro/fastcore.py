@@ -1,16 +1,15 @@
-"""Engine-core selection: the python oracle vs. the fast core.
+"""Engine-core selection: the SM issue stage each system runs.
 
-The simulator ships two implementations of its hot paths:
+Both cores share one event engine (:class:`repro.sim.engine.Engine`) and
+one memory datapath; they differ only in the SM issue stage:
 
-* the **python core** -- the original pure-Python engine, SM frontend and
-  set-associative tag arrays.  It is the *byte-identity oracle*: every
-  golden artifact, cached scenario result and record→replay trace is
+* the **python core** runs :meth:`repro.gpu.sm.SM.tick`, the readable
+  Algorithm 1/2 implementation.  It is the *byte-identity oracle*: every
+  golden artifact, cached scenario result and record->replay trace is
   defined by its behavior.
-* the **fast core** -- the calendar-queue scheduler
-  (:class:`repro.sim.engine_fast.CalendarEngine`), the inlined SM tick
-  (:class:`repro.gpu.sm_fast.FastSM`) and the flat tag-array /
-  pooled-MSHR datapath.  It must produce byte-identical results; CI
-  regenerates the fig6.x goldens under both cores and ``cmp``s them.
+* the **fast core** runs :class:`repro.gpu.sm_fast.FastSM`, the same
+  stage flattened into one loop.  It must produce byte-identical results;
+  CI regenerates the fig6.x goldens under both cores and ``cmp``s them.
 
 Selection happens at **import time** from the environment and can be
 overridden per-config:
@@ -22,11 +21,6 @@ overridden per-config:
   ``"auto"`` defers to the environment, ``"python"``/``"fast"`` win over
   it.  The field never enters ``to_dict()`` / scenario cache keys --
   both cores must produce the same bytes, so results are shared.
-
-An optional compiled build of the fast modules (mypyc / Cython) slots in
-behind the same selector: :func:`compiled_available` probes for it and
-the fast core silently falls back to the pure-Python fast modules when
-no compiler ever ran (the common case; the container ships neither).
 """
 
 from __future__ import annotations
@@ -54,17 +48,3 @@ def resolve_core(config_core: str = "auto") -> str:
         return DEFAULT_CORE
     return config_core
 
-
-def compiled_available() -> bool:
-    """Is a mypyc/Cython build of the fast modules importable?
-
-    The stretch-goal compiled core registers itself as
-    ``repro._compiled`` when built; absent a compiler (the supported
-    baseline) this is simply ``False`` and the pure-Python fast modules
-    serve the fast core.
-    """
-    try:
-        import repro._compiled  # noqa: F401
-    except ImportError:
-        return False
-    return True

@@ -27,8 +27,8 @@ the fast core replaces :meth:`SM.tick` with a flattened equivalent:
 None of this changes any observable ordering: the same warps are
 evaluated in the same order with the same side effects (scoreboard lazy
 retirement, LSU/SFU rejection counters), the same events are scheduled
-with the same engine sequence numbers, and the attribution sinks receive
-the same totals.  When a trace tap or a timeline *is* installed,
+in the same order, and the attribution sinks receive the same totals.
+When a trace tap or a timeline *is* installed,
 ``record`` calls are semantically visible per cycle (the trace stream
 stores the spans themselves), so those paths call ``record`` exactly as
 the oracle does; and when the attribution policy or warp scheduler is

@@ -148,121 +148,3 @@ class SetAssocCache(Component):
     def owned_lines(self) -> list[int]:
         return [ln for ln, st in self.lines() if st is LineState.OWNED]
 
-
-class FlatSetAssocCache(SetAssocCache):
-    """The fast core's tag array: plain-dict sets, masked set selection,
-    plain-int statistics.
-
-    Behaviourally identical to :class:`SetAssocCache` -- same LRU victims,
-    same stats, same snapshot shape -- but built for the hot path:
-
-    * each set is a plain insertion-ordered ``dict``; an LRU touch is a
-      C-level delete + reinsert and the victim is ``next(iter(set))``,
-      dropping ``OrderedDict``'s linked-list bookkeeping;
-    * set selection is a precomputed ``line & mask`` when ``num_sets`` is
-      a power of two (every Table 5.1 geometry is), falling back to the
-      modulo otherwise -- so arbitrary hierarchy-spec shapes still work;
-    * hit/miss/eviction/invalidation counts are plain ints behind derived
-      stats (declared in the oracle's order, so snapshots and their CSV
-      flattening stay byte-identical), reset via :meth:`on_reset_stats`.
-
-    A flat ``array``/numpy tag matrix was measured and rejected: without a
-    compiled kernel the per-way linear probes cost more in pure Python
-    than dict hashing saves, and byte identity bars approximating LRU.
-    """
-
-    def __init__(self, num_sets: int, assoc: int, name: str = "cache") -> None:
-        if num_sets < 1 or assoc < 1:
-            raise ValueError("cache needs at least one set and one way")
-        Component.__init__(self, name)
-        self.num_sets = num_sets
-        self.assoc = assoc
-        self._sets: list[dict[int, LineState]] = [{} for _ in range(num_sets)]
-        self._mask = num_sets - 1 if num_sets & (num_sets - 1) == 0 else None
-        self._occupied = 0
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._invalidations = 0
-        self.stat_derived("hits", lambda: self._hits)
-        self.stat_derived("misses", lambda: self._misses)
-        self.stat_derived("evictions", lambda: self._evictions)
-        self.stat_derived("invalidations", lambda: self._invalidations)
-        self.stat_derived("occupancy", lambda: self._occupied)
-
-    def on_reset_stats(self) -> None:
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._invalidations = 0
-
-    # ------------------------------------------------------------------
-    def _set_of(self, line: int) -> dict[int, LineState]:
-        m = self._mask
-        return self._sets[line & m if m is not None else line % self.num_sets]
-
-    def lookup(self, line: int, touch: bool = True) -> LineState | None:
-        m = self._mask
-        s = self._sets[line & m if m is not None else line % self.num_sets]
-        state = s.get(line)
-        if state is None:
-            self._misses += 1
-            return None
-        if touch:
-            del s[line]
-            s[line] = state
-        self._hits += 1
-        return state
-
-    def contains(self, line: int) -> bool:
-        m = self._mask
-        return line in self._sets[line & m if m is not None else line % self.num_sets]
-
-    def state_of(self, line: int) -> LineState | None:
-        m = self._mask
-        return self._sets[line & m if m is not None else line % self.num_sets].get(line)
-
-    def insert(self, line: int, state: LineState) -> tuple[int, LineState] | None:
-        s = self._set_of(line)
-        if line in s:
-            del s[line]  # overwrite refreshes LRU, as move_to_end did
-            s[line] = state
-            return None
-        victim = None
-        if len(s) >= self.assoc:
-            vline = next(iter(s))
-            victim = (vline, s.pop(vline))
-            self._evictions += 1
-            self._occupied -= 1
-        s[line] = state
-        self._occupied += 1
-        return victim
-
-    def invalidate(self, line: int) -> LineState | None:
-        state = self._set_of(line).pop(line, None)
-        if state is not None:
-            self._invalidations += 1
-            self._occupied -= 1
-        return state
-
-    def invalidate_all(self, keep_owned: bool = False) -> int:
-        if self._occupied == 0:
-            return 0
-        dropped = 0
-        if keep_owned:
-            for s in self._sets:
-                if not s:
-                    continue
-                doomed = [ln for ln, st in s.items() if st is not LineState.OWNED]
-                for ln in doomed:
-                    del s[ln]
-                dropped += len(doomed)
-        else:
-            for s in self._sets:
-                n = len(s)
-                if n:
-                    s.clear()
-                    dropped += n
-        self._occupied -= dropped
-        self._invalidations += dropped
-        return dropped

@@ -439,11 +439,10 @@ class BankedTagArray:
         num_sets: int,
         assoc: int,
         num_banks: int = 1,
-        cache_cls: type = SetAssocCache,
     ) -> None:
         self.num_banks = num_banks
         self.banks = [
-            cache_cls(num_sets, assoc, name="bank%d" % i)
+            SetAssocCache(num_sets, assoc, name="bank%d" % i)
             for i in range(num_banks)
         ]
         for bank in self.banks:

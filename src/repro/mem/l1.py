@@ -33,12 +33,12 @@ from typing import Callable
 
 from repro.core.component import Component
 from repro.core.stall_types import ServiceLocation
-from repro.mem.cache import FlatSetAssocCache, LineState, SetAssocCache
+from repro.mem.cache import LineState, SetAssocCache
 from repro.mem.coherence.base import CoherenceProtocol
 from repro.mem.hierarchy import CacheLevelSpec
 from repro.mem.main_memory import GlobalMemory
-from repro.mem.mshr import FastMshr, Mshr
-from repro.mem.store_buffer import FastStoreBuffer, SbEntry, StoreBuffer
+from repro.mem.mshr import Mshr
+from repro.mem.store_buffer import SbEntry, StoreBuffer
 from repro.noc.mesh import Mesh
 from repro.noc.message import Message, MsgType, alloc_message, next_request_id, recycle_message
 from repro.noc.message import _request_ids as _REQ_IDS  # atomic() fast lane
@@ -110,13 +110,8 @@ class L1Controller(Component):
         memory: GlobalMemory,
         levels: "list[CacheLevelSpec] | None" = None,
         shared_tags: "dict[str, SetAssocCache] | None" = None,
-        fast: bool = False,
     ) -> None:
         Component.__init__(self, "l1")
-        #: fast-core elaboration: flat-dict tag arrays, pooled MSHR entries
-        #: and store-buffer slots.  Byte-identical to the oracle parts by
-        #: contract (same LRU victims, same stats, same event order).
-        cache_cls = FlatSetAssocCache if fast else SetAssocCache
         self.node = node
         self.config = config
         self.mesh = mesh
@@ -139,7 +134,7 @@ class L1Controller(Component):
         for i, spec in enumerate(levels):
             tags = (shared_tags or {}).get(spec.name)
             if tags is None:
-                tags = cache_cls(
+                tags = SetAssocCache(
                     spec.size // (config.line_size * spec.assoc),
                     spec.assoc,
                     name="cache" if i == 0 else spec.name,
@@ -164,9 +159,9 @@ class L1Controller(Component):
         self._protocol_tags = (
             self.cache if self._deeper is None and self._l0_probe else _StackTags(self.levels)
         )
-        self.mshr = (FastMshr if fast else Mshr)(config.mshr_entries)
+        self.mshr = Mshr(config.mshr_entries)
         self.add_child(self.mshr)
-        self.store_buffer = (FastStoreBuffer if fast else StoreBuffer)(
+        self.store_buffer = StoreBuffer(
             config.store_buffer_entries,
             issue_fn=self._issue_sb_entry,
             write_combining=config.write_combining,
@@ -516,9 +511,6 @@ class L1Controller(Component):
             cb(loc, req_id)
         for cb in entry.merged_waiters:
             cb(ServiceLocation.L1_COALESCE, req_id)
-        # Every waiter has been serviced: the entry can be pooled (no-op on
-        # the oracle MSHR, freelist reuse on the fast core's).
-        self.mshr.recycle(entry)
 
     # ------------------------------------------------------------------
     # Fill / spill / writeback (one mechanism for every stack shape)

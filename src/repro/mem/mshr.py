@@ -91,53 +91,6 @@ class Mshr(Component):
     def note_rejection(self) -> None:
         self.full_rejections.value += 1
 
-    def recycle(self, entry: MshrEntry) -> None:
-        """Hand a completed entry back once its waiters have been serviced.
-
-        A no-op here (retired entries just die to the GC); the fast core's
-        :class:`FastMshr` pools them.  The L1 controller calls this at the
-        end of its fill handler, after the last waiter callback ran.
-        """
-
     def outstanding_lines(self) -> list[int]:
         return list(self._entries.keys())
 
-
-class FastMshr(Mshr):
-    """Pooled-entry MSHR for the fast core.
-
-    Steady-state misses allocate no :class:`MshrEntry` (and no waiter
-    lists): completed entries return to a freelist via :meth:`recycle`
-    and are re-armed in place.  Stats, merge and completion semantics are
-    inherited unchanged, so the two cores count identically.
-    """
-
-    def __init__(self, capacity: int, name: str = "mshr") -> None:
-        Mshr.__init__(self, capacity, name)
-        self._free: list[MshrEntry] = []
-
-    def allocate(self, line: int, req_id: int, now: int = 0) -> MshrEntry:
-        entries = self._entries
-        if line in entries:
-            raise ValueError("line %#x already has an MSHR entry" % line)
-        if len(entries) >= self.capacity:
-            raise RuntimeError("MSHR overflow")
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry.line = line
-            entry.req_id = req_id
-            entry.allocated_at = now
-        else:
-            entry = MshrEntry(line=line, req_id=req_id, allocated_at=now)
-        entries[line] = entry
-        self.allocations.value += 1
-        occupied = len(entries)
-        self.peak_occupancy.maximize(occupied)
-        self.occupancy_hist.observe(occupied)
-        return entry
-
-    def recycle(self, entry: MshrEntry) -> None:
-        entry.waiters.clear()
-        entry.merged_waiters.clear()
-        self._free.append(entry)

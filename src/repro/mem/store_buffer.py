@@ -165,68 +165,3 @@ class StoreBuffer(Component):
         for cb in ready:
             cb()
 
-
-class FastStoreBuffer(StoreBuffer):
-    """Pooled-entry store buffer with O(1) acknowledgement, for the fast
-    core.
-
-    ``_entries`` is keyed by each entry's ``seq``, so an ack that carries
-    the sequence number (the L1 always round-trips it through the message
-    ``meta``) frees its entry by direct index instead of the oracle's
-    oldest-first scan -- same entry, since sequence numbers are unique.
-    Freed :class:`SbEntry` objects (and their word sets) are pooled and
-    re-armed in place on the next non-combining store.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        StoreBuffer.__init__(self, *args, **kwargs)
-        #: plain dict (insertion-ordered, like the oracle's OrderedDict)
-        self._entries: dict[int, SbEntry] = {}
-        self._free: list[SbEntry] = []
-
-    def write(self, line: int, words: set[int] | None = None) -> SbEntry:
-        if self.has_combinable_entry(line):
-            entry = self._entries[self._pending_by_line[line]]
-            if words:
-                entry.words |= words
-            self.combines.value += 1
-            self.stores_accepted.value += 1
-            return entry
-        entries = self._entries
-        if len(entries) >= self.capacity:
-            raise RuntimeError("store buffer overflow")
-        self._seq += 1
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry.line = line
-            entry.words.clear()
-            if words:
-                entry.words |= words
-            entry.state = SbEntryState.PENDING
-            entry.seq = self._seq
-        else:
-            entry = SbEntry(
-                line=line, words=set(words) if words else set(), seq=self._seq
-            )
-        entries[self._seq] = entry
-        if self.write_combining:
-            self._pending_by_line[line] = self._seq
-        self.stores_accepted.value += 1
-        self.peak_occupancy.maximize(len(entries))
-        return entry
-
-    def ack(self, line: int, seq: int | None = None) -> None:
-        if seq is None:  # legacy callers without a sequence: oracle scan
-            StoreBuffer.ack(self, line, seq)
-            return
-        entry = self._entries.get(seq)
-        if (
-            entry is None
-            or entry.line != line
-            or entry.state is not SbEntryState.ISSUED
-        ):
-            raise KeyError("no issued store-buffer entry for line %#x" % line)
-        del self._entries[seq]
-        self._free.append(entry)
-        self._check_flush_waiters()

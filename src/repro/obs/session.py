@@ -176,7 +176,7 @@ class TelemetrySession:
                     "run": self.run_id,
                     "label": self.cfg.label,
                     "sample_every": self.cfg.sample_every,
-                    "core": type(self.engine).__name__,
+                    "core": self.system.core,
                 },
             )
 

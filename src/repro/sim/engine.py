@@ -10,10 +10,41 @@ flavours:
   simulated in O(events) rather than O(cycles) while preserving per-cycle
   stall attribution (the stall cause is constant while the SM sleeps, so the
   sleeping SM attributes the gap in bulk).
-* **Events** are ``(time, callback)`` pairs in a priority queue; ties break
-  in schedule order so runs are deterministic.
+* **Events** are callbacks due at a cycle; ties break in schedule order so
+  runs are deterministic.
 
 When no tickable is active the clock jumps straight to the next event.
+
+Pending events live in a *calendar queue*:
+
+* a ``dict`` mapping each pending cycle to its **bucket** -- a deque of
+  callbacks in schedule order;
+* a min-heap over the *distinct* bucket times (one entry per bucket, so
+  its size is the number of pending cycles, not of pending events);
+* a freelist of retired bucket deques, so steady-state scheduling
+  allocates no containers at all.
+
+Its contract:
+
+* ties break in schedule order (bucket append order), so within a cycle
+  events fire exactly as a ``(time, seq)`` heap would fire them;
+* the **same-cycle lane**: an event scheduled *at the drain's own cycle*
+  from inside an event callback is appended to the live bucket and run by
+  the same drain (the popleft loop chases the growing deque);
+* pop-before-execute: an event leaves the queue before its callback runs,
+  so ``pending_events()`` observed from inside a callback counts exactly
+  the not-yet-executed events (this is what lets a telemetry sampler
+  decide "no sim work remains" and stop re-arming);
+* events scheduled at a cycle the clock already passed mid-tick (legal via
+  ``schedule_at(now)`` from a tick) are drained by the next iteration,
+  ascending time first;
+* ``schedule(delay<0)`` / ``schedule_at(past)`` raise ``ValueError``;
+* ``peek_next_event`` is O(1): the time heap's root always owns a live,
+  non-empty bucket (both are retired together).
+
+``schedule_call(delay, fn, arg)`` stores the bare ``(fn, arg)`` pair in
+the bucket and the drain unpacks it, so per-message paths (the mesh, the
+L2 bank pipeline) schedule without building a closure.
 
 The run loop is the hottest code in the simulator, so it avoids per-cycle
 allocation and sorting: the active set's deterministic tick order is
@@ -28,7 +59,7 @@ stats, so instrumentation costs the hot loop nothing.
 from __future__ import annotations
 
 import heapq
-from functools import partial
+from collections import deque
 from typing import Callable, Protocol
 
 from repro.core.component import Component
@@ -51,8 +82,14 @@ class Engine(Component):
         Component.__init__(self, "engine")
         self.engine = self  # a component tree rooted here schedules on self
         self.now: int = 0
-        self._queue: list[tuple[int, int, Callable[[], None]]] = []
-        self._seq: int = 0
+        #: cycle -> bucket (callbacks and ``(fn, arg)`` pairs, in schedule
+        #: order).  A time is in ``_times`` iff its bucket exists here, and
+        #: live buckets are never empty outside the drain of that bucket.
+        self._buckets: dict[int, deque] = {}
+        #: min-heap of the distinct pending cycles (one entry per bucket).
+        self._times: list[int] = []
+        #: retired bucket deques, recycled by later schedules.
+        self._free_buckets: list[deque] = []
         self._active: dict[int, Tickable] = {}
         #: cached ascending tid order of ``_active``; rebuilt lazily (only
         #: after membership changes) instead of sorted once per cycle.
@@ -115,30 +152,37 @@ class Engine(Component):
         """Run ``callback`` ``delay`` cycles from now (``delay >= 0``)."""
         if delay < 0:
             raise ValueError("cannot schedule into the past (delay=%d)" % delay)
-        _heappush(self._queue, (self.now + delay, self._seq, callback))
-        self._seq += 1
+        time = self.now + delay
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._new_bucket(time)
+        bucket.append(callback)
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> None:
         if time < self.now:
             raise ValueError("cannot schedule into the past (t=%d < now=%d)" % (time, self.now))
-        _heappush(self._queue, (time, self._seq, callback))
-        self._seq += 1
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._new_bucket(time)
+        bucket.append(callback)
 
     def schedule_call(self, delay: int, fn: Callable, arg) -> None:
-        """Run ``fn(arg)`` ``delay`` cycles from now.
-
-        The one-argument fast lane shared with the calendar-queue core:
-        callers on per-message paths (the mesh, the L2 bank pipeline) hand
-        over ``(fn, arg)`` instead of closing over the argument themselves,
-        and each engine pairs them as cheaply as it can.  Here that is a
-        C-level ``partial``, which keeps the heap entries -- and therefore
-        the event order -- exactly what an explicit ``partial(fn, arg)``
-        would have produced.
-        """
+        """Run ``fn(arg)`` ``delay`` cycles from now: the pair is stored
+        as-is and unpacked by the drain, no closure."""
         if delay < 0:
             raise ValueError("cannot schedule into the past (delay=%d)" % delay)
-        _heappush(self._queue, (self.now + delay, self._seq, partial(fn, arg)))
-        self._seq += 1
+        time = self.now + delay
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._new_bucket(time)
+        bucket.append((fn, arg))
+
+    def _new_bucket(self, time: int) -> deque:
+        free = self._free_buckets
+        bucket = free.pop() if free else deque()
+        self._buckets[time] = bucket
+        _heappush(self._times, time)
+        return bucket
 
     def schedule_observer(self, delay: int, callback: Callable[[], None]) -> None:
         """Schedule a pure-observer event ``delay`` cycles from now.
@@ -160,7 +204,7 @@ class Engine(Component):
 
     def pending_events(self) -> int:
         """Number of events currently in the queue (observers included)."""
-        return len(self._queue)
+        return sum(map(len, self._buckets.values()))
 
     def pending_sim_events(self) -> int:
         """Pending events excluding not-yet-fired observer events.
@@ -177,7 +221,7 @@ class Engine(Component):
 
     # ------------------------------------------------------------------
     def peek_next_event(self) -> int | None:
-        return self._queue[0][0] if self._queue else None
+        return self._times[0] if self._times else None
 
     @property
     def in_event_phase(self) -> bool:
@@ -195,23 +239,36 @@ class Engine(Component):
         """
         self._stopped = False
         deadline = self.now + max_cycles
-        queue = self._queue
+        times = self._times
+        buckets = self._buckets
+        free = self._free_buckets
         active = self._active
         cycles = 0
         try:
             while not self._stopped:
                 now = self.now
-                if queue and queue[0][0] <= now:
-                    # Batch-drain everything due this cycle before ticking.
-                    # The event count is flushed once per batch (not per
-                    # event, not at run end) so in-flight observers see a
-                    # live ``engine.events`` value.
+                if times and times[0] <= now:
+                    # Batch-drain every due bucket before ticking, ascending
+                    # time, each in schedule order.  The event count is
+                    # flushed once per batch (not per event, not at run end)
+                    # so in-flight observers see a live ``engine.events``.
                     events = 0
                     self._in_event_phase = True
                     try:
-                        while queue and queue[0][0] <= now:
-                            events += 1
-                            _heappop(queue)[2]()
+                        while times and times[0] <= now:
+                            t = times[0]
+                            bucket = buckets[t]
+                            pop = bucket.popleft
+                            while bucket:
+                                item = pop()
+                                events += 1
+                                if item.__class__ is tuple:
+                                    item[0](item[1])
+                                else:
+                                    item()
+                            _heappop(times)
+                            del buckets[t]
+                            free.append(bucket)
                     finally:
                         self._in_event_phase = False
                         self.events_processed += events
@@ -233,9 +290,9 @@ class Engine(Component):
                     self.now = now + 1
                     cycles += 1
                 else:
-                    if not queue:
+                    if not times:
                         break
-                    nxt = queue[0][0]
+                    nxt = times[0]
                     if nxt > now:
                         self.now = nxt
                 if self.now > deadline:

@@ -1,22 +1,22 @@
 """Unit tests for the hybrid cycle/event engine.
 
-Every test runs against both cores: the pure-Python oracle
-(:class:`~repro.sim.engine.Engine`, binary heap) and the fast core's
-calendar queue (:class:`~repro.sim.engine_fast.CalendarEngine`).  The two
-must agree on every documented semantic -- time order, schedule-order tie
-breaking, the same-cycle event lane, peek/stop behavior -- because the
-fast core's byte-identity guarantee rests on this equivalence.
+The engine is a calendar queue (per-cycle buckets, a heap of distinct
+bucket times, a bucket freelist).  These tests pin every documented
+semantic -- time order, schedule-order tie breaking, the same-cycle event
+lane, pop-before-execute, peek/stop behavior -- because the byte-identity
+of every committed artifact rests on it.
 """
 
 import pytest
 
 from repro.sim.engine import Engine
-from repro.sim.engine_fast import CalendarEngine
 
 
-@pytest.fixture(params=[Engine, CalendarEngine], ids=["python", "fast"])
+@pytest.fixture(params=["python", "fast"])
 def engine_cls(request):
-    return request.param
+    """The engine class of each core's systems: both cores share ``Engine``
+    and differ only in the SM issue stage."""
+    return Engine
 
 
 class Counter:
@@ -379,7 +379,7 @@ class TestScheduleCall:
         engine.schedule(3, lambda: log.append("tail"))
         engine.run()
         # The append joins the end of the in-flight batch, after everything
-        # already scheduled for the cycle -- on both cores.
+        # already scheduled for the cycle.
         assert log == ["tail", 3]
 
     def test_counts_as_one_event(self, engine_cls):
@@ -390,10 +390,10 @@ class TestScheduleCall:
 
 
 class TestCalendarQueueInternals:
-    """Fast-core-only behavior: bucket lifecycle and the freelist."""
+    """Bucket lifecycle and the freelist."""
 
     def test_buckets_are_recycled(self):
-        engine = CalendarEngine()
+        engine = Engine()
         for t in (1, 2, 3):
             engine.schedule(t, lambda: None)
         engine.run()
@@ -407,7 +407,7 @@ class TestCalendarQueueInternals:
         engine.run()
 
     def test_peek_tracks_live_buckets_only(self):
-        engine = CalendarEngine()
+        engine = Engine()
         engine.schedule(5, engine.stop)
         engine.schedule(9, lambda: None)
         assert engine.peek_next_event() == 5
@@ -417,7 +417,7 @@ class TestCalendarQueueInternals:
         assert engine.peek_next_event() is None
 
     def test_many_events_one_cycle_single_bucket(self):
-        engine = CalendarEngine()
+        engine = Engine()
         hits = []
         for i in range(100):
             engine.schedule_call(7, hits.append, i)

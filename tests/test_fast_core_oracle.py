@@ -1,12 +1,15 @@
 """Differential oracle: the fast core must match the python core exactly.
 
-The fast core (``REPRO_CORE=fast`` / ``SystemConfig.core``) swaps in the
-calendar-queue scheduler, the inlined SM frontend and the flat-array
-memory datapath -- but its contract is *byte identity*: every statistic
-of every scenario must equal the pure-Python oracle's, field for field.
-This test runs the full fig6.x fast-size scenario set plus the five
-fleet workloads under both cores in one process (``SystemConfig.core``
-pins a single system regardless of the environment) and diffs:
+The two cores share one event engine and one memory datapath; the fast
+core (``REPRO_CORE=fast`` / ``SystemConfig.core``) swaps only the SM
+issue stage for :class:`~repro.gpu.sm_fast.FastSM`'s flattened tick.  Its
+contract is *byte identity*: every statistic of every scenario must equal
+the pure-Python oracle's, field for field.  This test runs the fig6.x
+fast-size scenario set, the five fleet workloads, two ablations on which
+``FastSM`` falls back to ``SM.tick`` and the benchmark UTS cell at four
+held-out tree seeds under both cores in one process
+(``SystemConfig.core`` pins a single system regardless of the
+environment) and diffs:
 
 * the serialized result (``SimResult.to_dict()``: cycles, instructions,
   the stall breakdown, per-SM breakdowns, the frozen stats schema), and
@@ -16,8 +19,12 @@ pins a single system regardless of the environment) and diffs:
   parts no figure renders (engine event/wakeup counts, mesh slot
   accounting, per-bank L2 counters, ...).
 
-Any mismatch here means a fast-path rewrite changed simulation order or
-dropped a side effect; fix the fast core, never the oracle.
+Both are also checked against SHA-256 pins committed in
+``tests/data/stats_pins.json``, so a change to the shared engine or
+datapath that moves both cores alike still fails here.
+
+Any mismatch here means a rewrite changed simulation order or dropped a
+side effect; fix the code, never the oracle or its pins.
 """
 
 from __future__ import annotations

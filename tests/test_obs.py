@@ -24,7 +24,6 @@ from repro.obs import (
 )
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
-from repro.sim.engine_fast import CalendarEngine
 from repro.system import System, run_workload
 from repro.workloads import make_workload
 
@@ -38,9 +37,8 @@ def _run(core, telemetry=None, workload="streaming"):
 
 
 class TestObserverLane:
-    @pytest.mark.parametrize("engine_cls", [Engine, CalendarEngine])
-    def test_observer_events_excluded_from_events_stat(self, engine_cls):
-        engine = engine_cls()
+    def test_observer_events_excluded_from_events_stat(self):
+        engine = Engine()
         fired = []
         engine.schedule(1, lambda: fired.append("sim"))
         engine.schedule(3, lambda: fired.append("sim"))
@@ -51,9 +49,8 @@ class TestObserverLane:
         assert engine.observer_events == 1
         assert engine.stats()["events"] == 2
 
-    @pytest.mark.parametrize("engine_cls", [Engine, CalendarEngine])
-    def test_pending_sim_events_ignores_observers(self, engine_cls):
-        engine = engine_cls()
+    def test_pending_sim_events_ignores_observers(self):
+        engine = Engine()
         engine.schedule(5, lambda: None)
         engine.schedule_observer(1, lambda: None)
         assert engine.pending_events() == 2
@@ -138,9 +135,16 @@ class TestSeries:
         end = series["end"]
         assert end is not None and end["ok"]
         assert end["samples"] == len(samples)
+
         # events stat monotonically grows mid-run (the live per-batch flush)
         events = [s["values"]["system.engine.events"] for s in samples]
         assert events[-1] > events[0] >= 0
+
+    @pytest.mark.parametrize("core", CORES)
+    def test_header_records_the_resolved_core(self, core, tmp_path):
+        out = str(tmp_path / "s.jsonl")
+        _run(core, TelemetryConfig(out=out, sample_every=300, heartbeat=False))
+        assert read_series(out)["header"]["core"] == core
 
     def test_csv_sibling(self, tmp_path):
         out = str(tmp_path / "s.jsonl")
@@ -359,12 +363,11 @@ class TestExecutorProgress:
 
 
 class TestDeadRunTermination:
-    @pytest.mark.parametrize("engine_cls", [Engine, CalendarEngine])
-    def test_sampler_does_not_keep_dead_engine_alive(self, engine_cls):
+    def test_sampler_does_not_keep_dead_engine_alive(self):
         # an engine whose simulation work runs dry must still terminate
         # with a sampler attached: the sampler refuses to re-arm when only
         # observer events remain pending
-        engine = engine_cls()
+        engine = Engine()
         engine.schedule(10, lambda: None)
 
         def sample():
